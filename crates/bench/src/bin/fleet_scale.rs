@@ -357,15 +357,19 @@ fn main() {
     }
 
     if json {
+        // Hardware threads of the measuring machine (0 when unknown):
+        // rows from different worker counts compare only alongside it.
+        let cores = std::thread::available_parallelism().map_or(0, usize::from);
         let mut out = String::from("{\n  \"bench\": \"fleet_scale\",\n  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"missions\": {}, \"workers\": {}, \"mission_seconds\": {}, \
+                "    {{\"missions\": {}, \"workers\": {}, \"cores\": {}, \"mission_seconds\": {}, \
                  \"windows_per_mission\": 2, \"wall_s\": {:.3}, \"missions_per_sec\": {:.1}, \
                  \"slices\": {}, \"evictions\": {}, \"resumes\": {}, \"p50_slice_ms\": {:.3}, \
                  \"p99_slice_ms\": {:.3}, \"peak_rss_mb\": {:.1}, \"fingerprint\": \"{:016x}\"}}{}\n",
                 r.missions,
                 r.workers,
+                cores,
                 MISSION_SECONDS,
                 r.wall_s,
                 r.missions as f64 / r.wall_s.max(1e-9),

@@ -63,7 +63,7 @@ pub use diagnostics::{diagnose_failures, DiagnosisReport, NetworkModel};
 pub use humans::{calibrate_human_trust, CalibrationSummary};
 pub use resilience::{DegradationLadder, FailureDetector, LadderStep, MAX_LADDER_LEVEL};
 pub use runtime::{
-    run_mission, EndStateDigest, MissionReport, MissionRunner, PortableRunConfig,
+    run_mission, EndStateDigest, MissionPlan, MissionReport, MissionRunner, PortableRunConfig,
     ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError, StepOutcome, WallClockReport,
     WindowStat,
 };
@@ -89,8 +89,8 @@ pub use iobt_types as types;
 pub mod prelude {
     pub use crate::resilience::{DegradationLadder, FailureDetector, LadderStep};
     pub use crate::runtime::{
-        run_mission, EndStateDigest, MissionReport, MissionRunner, ResilienceReport, RunConfig,
-        RunConfigBuilder, RunConfigError, WallClockReport, WindowStat,
+        run_mission, EndStateDigest, MissionPlan, MissionReport, MissionRunner, ResilienceReport,
+        RunConfig, RunConfigBuilder, RunConfigError, WallClockReport, WindowStat,
     };
     pub use iobt_ckpt::{CheckpointStore, CkptError, LatestGood};
     pub use iobt_faults::{generate_campaign, CampaignConfig, FaultKind, FaultPlan};

@@ -47,7 +47,7 @@ pub use iobt_types as types;
 
 pub use iobt_core::ckpt;
 pub use iobt_core::{
-    run_mission, EndStateDigest, MissionReport, MissionRunner, PortableRunConfig,
+    run_mission, EndStateDigest, MissionPlan, MissionReport, MissionRunner, PortableRunConfig,
     ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError, StepOutcome, WallClockReport,
     WindowStat,
 };
@@ -75,7 +75,7 @@ pub mod prelude {
         allocate_missions, calibrate_human_trust, diagnose_failures, disaster_relief,
         persistent_surveillance, run_mission, urban_evacuation, CalibrationSummary,
         DegradationLadder, DiagnosisReport, Disruption, EndStateDigest, FailureDetector,
-        LadderStep, MissionAllocation, MissionReport, MissionRunner, NetworkModel,
+        LadderStep, MissionAllocation, MissionPlan, MissionReport, MissionRunner, NetworkModel,
         PortableRunConfig, ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError,
         Scenario, StepOutcome, TaskingPlan, TaskingStats, WallClockReport, WindowStat,
         COMMAND_POST_ID, MAX_LADDER_LEVEL,
