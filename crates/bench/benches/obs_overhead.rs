@@ -21,6 +21,9 @@ fn scenario() -> Scenario {
     s
 }
 
+/// Builds a fresh recorder for one run of a sink mode.
+type MakeRecorder = fn() -> Recorder;
+
 fn run_with(scenario: &Scenario, recorder: Recorder) -> f64 {
     let config = RunConfig::builder()
         .duration(SimDuration::from_secs_f64(120.0))
@@ -44,7 +47,7 @@ fn main() {
         "f1 evacuation (200 nodes, 120 s): run time by recorder sink",
         &["sink", "mean ms", "min ms", "overhead vs disabled %"],
     );
-    let modes: [(&str, fn() -> Recorder); 4] = [
+    let modes: [(&str, MakeRecorder); 4] = [
         ("disabled", Recorder::disabled),
         ("null (metrics only)", Recorder::null),
         ("memory ring (64k)", || Recorder::memory(1 << 16).0),

@@ -1,5 +1,5 @@
-//! Fleet-saturation harness: missions/sec, p99 slice latency, and peak
-//! RSS with 1k/10k concurrent missions on one scheduler.
+//! Fleet-saturation harness: missions/sec and peak RSS with 1k/10k
+//! concurrent missions on one scheduler, timed around the whole drain.
 //!
 //! Each mission is a small persistent-surveillance vignette (32 nodes,
 //! 20 simulated seconds, two utility windows). Submitting thousands of
@@ -24,9 +24,9 @@
 //!     --supervise --missions 64 --recover --dir /tmp/d --fingerprint
 //! ```
 //!
-//! Wall-clock use here is reporting-only: it never feeds back into the
-//! scheduler or any mission, whose results are pure functions of their
-//! seeds.
+//! The drain's wall clock is taken here, outside the scheduler (which
+//! reads none): it never feeds back into the scheduler or any mission,
+//! whose results are pure functions of their seeds.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -36,6 +36,7 @@ use iobt_fleet::{
     DiskStore, FailingStore, FaultProfile, Fleet, FleetBuilder, MissionStatus, MissionTicket,
 };
 use iobt_netsim::SimDuration;
+use iobt_obs::{fnv1a, FNV_OFFSET};
 
 /// Nodes per mission (small: the point is mission count, not field size).
 const MISSION_NODES: usize = 32;
@@ -51,17 +52,8 @@ struct SizeResult {
     slices: u64,
     evictions: u64,
     resumes: u64,
-    p50_slice_ms: f64,
-    p99_slice_ms: f64,
     peak_rss_mb: f64,
     fingerprint: u64,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
 }
 
 fn peak_rss_mb() -> f64 {
@@ -112,21 +104,7 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
         "every submitted mission must complete"
     );
 
-    // Combined fingerprint over every mission's end state, in ticket
-    // order: metrics fingerprint plus the digest's headline counters.
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
-    for &t in &tickets {
-        let d = fleet.digest(t).expect("completed mission has a digest");
-        let m = fleet
-            .metrics_fingerprint(t)
-            .expect("mission metrics are on by default");
-        fnv1a(&mut fp, &m.to_le_bytes());
-        for v in [d.sent, d.delivered, d.dropped] {
-            fnv1a(&mut fp, &v.to_le_bytes());
-        }
-        fnv1a(&mut fp, &d.energy_spent_j.to_bits().to_le_bytes());
-        fnv1a(&mut fp, &d.mean_utility.to_bits().to_le_bytes());
-    }
+    let fingerprint = combined_fingerprint(&fleet, &tickets);
 
     let _ = std::fs::remove_dir_all(&root);
     SizeResult {
@@ -136,10 +114,8 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
         slices: summary.slices,
         evictions: summary.evictions,
         resumes: summary.resumes,
-        p50_slice_ms: summary.p50_slice_ms,
-        p99_slice_ms: summary.p99_slice_ms,
         peak_rss_mb: peak_rss_mb(),
-        fingerprint: fp,
+        fingerprint,
     }
 }
 
@@ -152,20 +128,21 @@ fn supervised_batch(missions: usize, seed: u64) -> Vec<Scenario> {
         .collect()
 }
 
-/// Fingerprint over every completed mission's end state, ticket order.
+/// Fingerprint over every completed mission's end state, in ticket
+/// order: metrics fingerprint plus the digest's headline counters.
 fn combined_fingerprint(fleet: &Fleet, tickets: &[MissionTicket]) -> u64 {
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = FNV_OFFSET;
     for &t in tickets {
         let d = fleet.digest(t).expect("completed mission has a digest");
         let m = fleet
             .metrics_fingerprint(t)
             .expect("mission metrics are on by default");
-        fnv1a(&mut fp, &m.to_le_bytes());
+        fp = fnv1a(fp, &m.to_le_bytes());
         for v in [d.sent, d.delivered, d.dropped] {
-            fnv1a(&mut fp, &v.to_le_bytes());
+            fp = fnv1a(fp, &v.to_le_bytes());
         }
-        fnv1a(&mut fp, &d.energy_spent_j.to_bits().to_le_bytes());
-        fnv1a(&mut fp, &d.mean_utility.to_bits().to_le_bytes());
+        fp = fnv1a(fp, &d.energy_spent_j.to_bits().to_le_bytes());
+        fp = fnv1a(fp, &d.mean_utility.to_bits().to_le_bytes());
     }
     fp
 }
@@ -338,8 +315,7 @@ fn main() {
         } else if !json {
             println!(
                 "missions={:>6} workers={:>3} wall={:>7.2}s missions/s={:>8.1} \
-                 slices={} evictions={} resumes={} p50_slice={:.2}ms p99_slice={:.2}ms \
-                 peak_rss={:.0}MB fp={:016x}",
+                 slices={} evictions={} resumes={} peak_rss={:.0}MB fp={:016x}",
                 r.missions,
                 r.workers,
                 r.wall_s,
@@ -347,8 +323,6 @@ fn main() {
                 r.slices,
                 r.evictions,
                 r.resumes,
-                r.p50_slice_ms,
-                r.p99_slice_ms,
                 r.peak_rss_mb,
                 r.fingerprint
             );
@@ -365,8 +339,8 @@ fn main() {
             out.push_str(&format!(
                 "    {{\"missions\": {}, \"workers\": {}, \"cores\": {}, \"mission_seconds\": {}, \
                  \"windows_per_mission\": 2, \"wall_s\": {:.3}, \"missions_per_sec\": {:.1}, \
-                 \"slices\": {}, \"evictions\": {}, \"resumes\": {}, \"p50_slice_ms\": {:.3}, \
-                 \"p99_slice_ms\": {:.3}, \"peak_rss_mb\": {:.1}, \"fingerprint\": \"{:016x}\"}}{}\n",
+                 \"slices\": {}, \"evictions\": {}, \"resumes\": {}, \"peak_rss_mb\": {:.1}, \
+                 \"fingerprint\": \"{:016x}\"}}{}\n",
                 r.missions,
                 r.workers,
                 cores,
@@ -376,8 +350,6 @@ fn main() {
                 r.slices,
                 r.evictions,
                 r.resumes,
-                r.p50_slice_ms,
-                r.p99_slice_ms,
                 r.peak_rss_mb,
                 r.fingerprint,
                 if i + 1 < rows.len() { "," } else { "" }

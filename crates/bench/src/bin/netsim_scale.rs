@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use iobt_netsim::prelude::*;
+use iobt_obs::{fnv1a, FNV_OFFSET};
 use iobt_types::prelude::*;
 
 /// Grid spacing in meters (adjacent + diagonal wifi links exist, two-away
@@ -86,13 +87,6 @@ struct SizeResult {
     fingerprint: u64,
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 fn peak_rss_mb() -> f64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0.0;
@@ -139,7 +133,7 @@ fn run_size(n: u64, seed: u64) -> SizeResult {
     let wall_s = start.elapsed().as_secs_f64();
 
     let stats = sim.stats();
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = FNV_OFFSET;
     for v in [
         stats.sent,
         stats.delivered,
@@ -152,15 +146,15 @@ fn run_size(n: u64, seed: u64) -> SizeResult {
         stats.retransmits,
         sim.events_processed(),
     ] {
-        fnv1a(&mut fp, &v.to_le_bytes());
+        fp = fnv1a(fp, &v.to_le_bytes());
     }
-    fnv1a(&mut fp, &stats.energy_spent_j.to_bits().to_le_bytes());
-    fnv1a(&mut fp, &stats.latency_ms.mean().to_bits().to_le_bytes());
+    fp = fnv1a(fp, &stats.energy_spent_j.to_bits().to_le_bytes());
+    fp = fnv1a(fp, &stats.latency_ms.mean().to_bits().to_le_bytes());
     for i in 0..n {
         let id = NodeId::new(i);
-        fnv1a(&mut fp, &[u8::from(sim.is_alive(id))]);
+        fp = fnv1a(fp, &[u8::from(sim.is_alive(id))]);
         if let Some(e) = sim.energy(id) {
-            fnv1a(&mut fp, &e.remaining_j().to_bits().to_le_bytes());
+            fp = fnv1a(fp, &e.remaining_j().to_bits().to_le_bytes());
         }
     }
 

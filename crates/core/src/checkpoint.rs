@@ -33,7 +33,7 @@
 //! the candidate specs and composition problem from the plan's admitted
 //! ids; [`MissionRunner::resume`] (crash recovery, no plan at hand)
 //! recomposes the plan first with a disabled recorder, so no trace
-//! events are double-counted. Wall-clock timings are never stored.
+//! events are double-counted.
 
 use iobt_ckpt::{CkptError, Dec, DecodeError, Enc};
 use iobt_netsim::{SimDuration, SimTime};
@@ -629,8 +629,7 @@ impl MissionRunner {
         // Exhaustive-destructure convention (R6): adding a field to
         // `MissionRunner` fails this lint until its checkpoint story is
         // written. Phase 1–3 products (`plan` … `problem`) come from the
-        // plan at resume; `repair_ms` is wall-clock reporting;
-        // `total_windows` is derived from the config.
+        // plan at resume; `total_windows` is derived from the config.
         let Self {
             scenario: _,
             config: _,
@@ -653,7 +652,6 @@ impl MissionRunner {
             ladder: _,
             resilience: _,
             log_cursor: _,
-            repair_ms: _,
         } = self;
         let mut e = Enc::new();
         encode_guard(&mut e, &self.scenario, &self.config);
@@ -1001,7 +999,6 @@ impl MissionRunner {
             ladder,
             resilience,
             log_cursor,
-            repair_ms: 0.0,
         })
     }
 }

@@ -64,8 +64,7 @@ pub use humans::{calibrate_human_trust, CalibrationSummary};
 pub use resilience::{DegradationLadder, FailureDetector, LadderStep, MAX_LADDER_LEVEL};
 pub use runtime::{
     run_mission, EndStateDigest, MissionPlan, MissionReport, MissionRunner, PortableRunConfig,
-    ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError, StepOutcome, WallClockReport,
-    WindowStat,
+    ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError, StepOutcome, WindowStat,
 };
 pub use tasking::{allocate_missions, MissionAllocation, TaskingPlan};
 pub use scenario::{
@@ -90,7 +89,7 @@ pub mod prelude {
     pub use crate::resilience::{DegradationLadder, FailureDetector, LadderStep};
     pub use crate::runtime::{
         run_mission, EndStateDigest, MissionPlan, MissionReport, MissionRunner, ResilienceReport,
-        RunConfig, RunConfigBuilder, RunConfigError, WallClockReport, WindowStat,
+        RunConfig, RunConfigBuilder, RunConfigError, WindowStat,
     };
     pub use iobt_ckpt::{CheckpointStore, CkptError, LatestGood};
     pub use iobt_faults::{generate_campaign, CampaignConfig, FaultKind, FaultPlan};

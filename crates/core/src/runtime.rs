@@ -8,7 +8,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::Instant;
 
 use iobt_discovery::{
     recruit, AffiliationClassifier, DiscoveryTracker, EmissionModel, NaiveBayes, RecruitPolicy,
@@ -631,23 +630,6 @@ pub struct ResilienceReport {
     pub tasking: TaskingStats,
 }
 
-/// Wall-clock timings measured while running a mission.
-///
-/// Deliberately separated from [`EndStateDigest`] (and every other report
-/// field): wall-clock duration varies run to run on the same seed, so it
-/// must never participate in determinism checks. Reporting only. For the
-/// same reason it is *not* checkpointed — a resumed run reports only the
-/// wall-clock it spent itself, except that `solve_ms` travels with a
-/// kept [`MissionPlan`] and then reports the solve that composed it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[non_exhaustive]
-pub struct WallClockReport {
-    /// Wall-clock time spent in the initial composition solve, ms.
-    pub solve_ms: f64,
-    /// Cumulative wall-clock time spent in repair solves, ms.
-    pub repair_ms: f64,
-}
-
 /// Full mission outcome.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -677,9 +659,6 @@ pub struct MissionReport {
     pub mean_latency_ms: f64,
     /// End-state fingerprint for reproducibility checks.
     pub digest: EndStateDigest,
-    /// Wall-clock timings (solve/repair). Excluded from [`EndStateDigest`]
-    /// and from all determinism comparisons.
-    pub wall_clock: WallClockReport,
 }
 
 impl MissionReport {
@@ -729,10 +708,7 @@ impl MissionReport {
 /// A runner, fresh or resumed, rebuilds both from `scenario.catalog` and
 /// [`CompositionProblem::from_mission`], which costs microseconds where
 /// phases 1–3 cost most of a millisecond at 32 nodes.
-///
-/// Equality ignores the wall-clock solve time (reporting only), so a plan
-/// composed under a live recorder equals one composed silently.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionPlan {
     pub(crate) seed: u64,
     /// Admitted assets that passed the reachability probe, in
@@ -744,7 +720,6 @@ pub struct MissionPlan {
     pub(crate) infiltration_rate: f64,
     pub(crate) composition: CompositionResult,
     pub(crate) assurance: AssuranceReport,
-    pub(crate) solve_ms: f64,
 }
 
 // Plans cross worker threads inside fleet slots.
@@ -752,32 +727,6 @@ const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<MissionPlan>();
 };
-
-impl PartialEq for MissionPlan {
-    fn eq(&self, other: &Self) -> bool {
-        // Exhaustive destructure: a new field must decide whether it
-        // takes part in equality. `solve_ms` is wall-clock reporting.
-        let MissionPlan {
-            seed,
-            admitted,
-            recruited,
-            rejected_red,
-            unreachable,
-            infiltration_rate,
-            composition,
-            assurance,
-            solve_ms: _,
-        } = self;
-        *seed == other.seed
-            && *admitted == other.admitted
-            && *recruited == other.recruited
-            && *rejected_red == other.rejected_red
-            && *unreachable == other.unreachable
-            && *infiltration_rate == other.infiltration_rate
-            && *composition == other.composition
-            && *assurance == other.assurance
-    }
-}
 
 impl MissionPlan {
     /// Runs phases 1–3. `recorder` observes the recruitment and solve
@@ -842,9 +791,7 @@ impl MissionPlan {
             unreachable = before - specs.len();
         }
         let problem = CompositionProblem::from_mission(&scenario.mission, &specs, config.grid);
-        let solve_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
         let composition = config.solver.solve_observed(&problem, recorder);
-        let solve_ms = solve_start.elapsed().as_secs_f64() * 1_000.0;
         let failure_probs: Vec<f64> = composition
             .selected
             .iter()
@@ -872,7 +819,6 @@ impl MissionPlan {
             infiltration_rate: pool.infiltration_rate(),
             composition,
             assurance,
-            solve_ms,
         }
     }
 }
@@ -949,8 +895,6 @@ pub struct MissionRunner {
     pub(crate) ladder: DegradationLadder,
     pub(crate) resilience: ResilienceReport,
     pub(crate) log_cursor: usize,
-    // Wall-clock accounting (reporting only; never checkpointed).
-    pub(crate) repair_ms: f64,
 }
 
 impl fmt::Debug for MissionRunner {
@@ -1038,7 +982,6 @@ impl MissionRunner {
             ladder,
             resilience: ResilienceReport::default(),
             log_cursor: 0,
-            repair_ms: 0.0,
         }
     }
 
@@ -1129,14 +1072,12 @@ impl MissionRunner {
                 window: w as u64,
                 suspects: new_suspects.len() as u64,
             });
-            let repair_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
             let repaired = repair_with(
                 &self.problem,
                 &self.current,
                 &self.failed_ever,
                 self.config.solver,
             );
-            self.repair_ms += repair_start.elapsed().as_secs_f64() * 1_000.0;
             if repaired.selected != self.selection {
                 self.repairs += 1;
                 self.resilience.early_repairs += 1;
@@ -1243,14 +1184,12 @@ impl MissionRunner {
                     self.failed_ever.insert(id);
                 }
             }
-            let repair_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
             let repaired = repair_with(
                 &self.problem,
                 &self.current,
                 &self.failed_ever,
                 self.config.solver,
             );
-            self.repair_ms += repair_start.elapsed().as_secs_f64() * 1_000.0;
             if repaired.selected != self.selection {
                 self.repairs += 1;
                 let added = repaired
@@ -1349,7 +1288,6 @@ impl MissionRunner {
             infiltration_rate,
             composition,
             assurance,
-            solve_ms,
         } = self.plan;
         MissionReport {
             recruited,
@@ -1363,10 +1301,6 @@ impl MissionRunner {
             delivery_ratio: stats.delivery_ratio(),
             mean_latency_ms: stats.latency_ms.mean(),
             digest,
-            wall_clock: WallClockReport {
-                solve_ms,
-                repair_ms: self.repair_ms,
-            },
         }
     }
 }
@@ -1608,8 +1542,6 @@ mod tests {
             digest.counter("netsim.msg_delivered"),
             Some(report.digest.delivered)
         );
-        // Wall clock is measured but lives outside the digest.
-        assert!(report.wall_clock.solve_ms >= 0.0);
     }
 
     #[test]
@@ -1621,6 +1553,22 @@ mod tests {
         assert_eq!(a.windows, b.windows);
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.recruited, b.recruited);
+    }
+
+    #[test]
+    fn compose_is_a_pure_function_of_scenario_and_config() {
+        // Kept-plan resume relies on this: a kept plan must equal the one
+        // a recompose would produce, whatever recorder observed it.
+        let scenario = persistent_surveillance(80, 11);
+        let cfg = quick_config();
+        let (recorder, _ring) = iobt_obs::Recorder::memory(1_000);
+        let live = MissionPlan::compose(&scenario, &cfg, &recorder);
+        let silent = MissionPlan::compose(&scenario, &cfg, &Recorder::disabled());
+        assert_eq!(live, silent);
+        let reseeded = persistent_surveillance(80, 12);
+        let other = MissionPlan::compose(&reseeded, &cfg, &Recorder::disabled());
+        assert_ne!(live, other);
+        assert_ne!(live.composition, other.composition, "not just the seed field");
     }
 
     #[test]

@@ -17,18 +17,15 @@
 //! `iobt-bridge`'s `FaultyTransport` (edge-transport faults). Their
 //! profile structs are thin per-domain rate tables over [`fires`].
 
+use iobt_obs::{fnv1a, FNV_OFFSET};
+
 /// FNV-1a over the four schedule words. Deterministic and
 /// domain-separated; not cryptographic, which is fine for a failure
 /// schedule.
 pub fn failpoint_hash(seed: u64, domain: u64, key: u64, op: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [seed, domain, key, op] {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    [seed, domain, key, op]
+        .iter()
+        .fold(FNV_OFFSET, |h, word| fnv1a(h, &word.to_le_bytes()))
 }
 
 /// True when the failpoint for `(seed, domain, key, op)` lands on a

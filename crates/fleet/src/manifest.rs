@@ -36,6 +36,7 @@ use iobt_core::{
     decode_end_state_digest, decode_portable_config, encode_end_state_digest,
     encode_portable_config, EndStateDigest, PortableRunConfig,
 };
+use iobt_obs::{fnv1a, FNV_OFFSET};
 
 use crate::error::{MissionError, MissionErrorKind};
 use crate::ticket::MissionStatus;
@@ -475,12 +476,7 @@ impl ManifestState {
 /// FNV-1a over a scenario's `Debug` rendering — the identity recovery
 /// uses to check that re-supplied scenarios match the originals.
 pub(crate) fn scenario_fingerprint(debug_rendering: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in debug_rendering.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(FNV_OFFSET, debug_rendering.as_bytes())
 }
 
 #[cfg(test)]

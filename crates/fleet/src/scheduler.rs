@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use iobt_core::{
     EndStateDigest, MissionPlan, MissionReport, MissionRunner, PortableRunConfig, RunConfig,
@@ -159,18 +159,12 @@ struct DrainCtx<'a> {
     /// Set when `halt_after_slices` trips: workers stop taking work and
     /// unfinished missions stay wherever they are.
     halted: AtomicBool,
-    /// Wall-clock slice latencies, milliseconds. Reporting only — never
-    /// feeds back into scheduling decisions or results.
-    latencies: Mutex<Vec<f64>>,
     /// The durable manifest, when enabled.
     manifest: Option<&'a Mutex<ManifestState>>,
 }
 
-/// Aggregate outcome of one [`Fleet::drain`] call.
-///
-/// `wall_s` and the slice-latency quantiles are wall-clock measurements:
-/// reporting only, never part of any determinism contract (mirroring
-/// `WallClockReport` in `iobt-core`).
+/// Aggregate outcome of one [`Fleet::drain`] call. Every field is a
+/// count: callers that want wall-clock time time the drain themselves.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct FleetSummary {
@@ -191,12 +185,6 @@ pub struct FleetSummary {
     pub evictions: u64,
     /// Resumes from an on-disk checkpoint.
     pub resumes: u64,
-    /// Wall-clock duration of the drain, seconds (reporting only).
-    pub wall_s: f64,
-    /// Median slice latency, milliseconds (reporting only).
-    pub p50_slice_ms: f64,
-    /// 99th-percentile slice latency, milliseconds (reporting only).
-    pub p99_slice_ms: f64,
 }
 
 /// A multi-tenant mission scheduler: submit missions, drain the batch
@@ -474,8 +462,6 @@ impl Fleet {
             .map(|(i, _)| i as u64)
             .collect();
         let submitted = pending.len();
-        let start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in FleetSummary.wall_s, never in a decision or digest
-        let mut latencies: Vec<f64> = Vec::new();
         if submitted > 0 {
             let manifest = self.manifest.as_ref();
             let cells: Vec<Mutex<&mut Slot>> = self.slots.iter_mut().map(Mutex::new).collect();
@@ -490,7 +476,6 @@ impl Fleet {
                 remaining: AtomicUsize::new(submitted),
                 slice_clock: AtomicU64::new(0),
                 halted: AtomicBool::new(false),
-                latencies: Mutex::new(Vec::new()),
                 manifest,
             };
             std::thread::scope(|s| {
@@ -498,9 +483,7 @@ impl Fleet {
                     s.spawn(|| worker_loop(&ctx));
                 }
             });
-            latencies = ctx.latencies.into_inner().unwrap_or_else(|e| e.into_inner());
         }
-        let wall_s = start.elapsed().as_secs_f64();
 
         // Post-join: fold the workers' buffered scheduler events into
         // the fleet trace in canonical (ticket, mission-chronological)
@@ -508,7 +491,6 @@ impl Fleet {
         // trace's layout deterministic — and total up the summary.
         let mut summary = FleetSummary {
             submitted,
-            wall_s,
             ..FleetSummary::default()
         };
         let recorder = self.recorder.clone();
@@ -562,21 +544,8 @@ impl Fleet {
             }
         }
         recorder.flush();
-        latencies.sort_by(f64::total_cmp);
-        summary.p50_slice_ms = quantile(&latencies, 0.50);
-        summary.p99_slice_ms = quantile(&latencies, 0.99);
         summary
     }
-}
-
-/// Nearest-rank quantile of an ascending-sorted slice (0.0 when empty).
-/// Reporting only — consumed solely by the wall-clock summary fields.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn worker_loop(ctx: &DrainCtx<'_>) {
@@ -703,7 +672,6 @@ fn slice_body(
 
     slot.status = MissionStatus::Running;
     let from_window = runner.window_index() as u64;
-    let t0 = Instant::now(); // lint: allow(wall-clock) — reporting only; slice latency lands in FleetSummary, never in a decision or digest
     let mut ran = 0u64;
     while ran < u64::from(ctx.cfg.quantum_windows) {
         if let Some((target, window)) = ctx.cfg.inject_panic {
@@ -722,7 +690,6 @@ fn slice_body(
             _ => break,
         }
     }
-    lock(&ctx.latencies).push(t0.elapsed().as_secs_f64() * 1_000.0);
     slot.events.push(SliceEvent::Slice { from_window, windows: ran });
     slot.slices_used += 1;
     tick_clock(ctx);

@@ -37,11 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod fnv;
 pub mod metrics;
 pub mod recorder;
 pub mod sink;
 
 pub use event::{DropCause, Subsystem, TraceEvent, TraceRecord};
+pub use fnv::{fnv1a, FNV_OFFSET};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsDigest, MetricsRegistry};
 pub use recorder::{Recorder, RecorderCheckpoint, SamplingConfig};
 pub use sink::{JsonlSink, NullSink, RingHandle, RingSink, SharedBytes, TraceSink};

@@ -10,6 +10,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
+
 /// Interns a metric name, returning a `&'static str` usable as a
 /// registry key. Registry keys are `&'static str` by design (every
 /// normal call site passes a literal); checkpoint restore is the one
@@ -320,14 +322,7 @@ impl MetricsDigest {
     /// A 64-bit FNV-1a fingerprint of the canonical rendering —
     /// convenient for logging one comparable number per run.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in self.canonical_string().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
+        fnv1a(FNV_OFFSET, self.canonical_string().as_bytes())
     }
 }
 

@@ -49,15 +49,14 @@ pub use assurance::{assess, failure_probability, AssuranceReport};
 pub use coverage::{CoverageCounter, CoverageSet};
 pub use index::CellIndex;
 pub use problem::{candidate_cost, Candidate, CompositionProblem};
-pub use repair::{repair, repair_with, repair_with_timed, RepairResult};
+pub use repair::{repair, repair_with, RepairResult};
 pub use solvers::{CompositionResult, MemberOutcome, SolveStats, Solver, SolverBudget};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::{
-        assess, candidate_cost, failure_probability, repair, repair_with, repair_with_timed,
-        AssuranceReport, Candidate, CellIndex, CompositionProblem, CompositionResult,
-        CoverageCounter, CoverageSet, MemberOutcome, RepairResult, SolveStats, Solver,
-        SolverBudget,
+        assess, candidate_cost, failure_probability, repair, repair_with, AssuranceReport,
+        Candidate, CellIndex, CompositionProblem, CompositionResult, CoverageCounter, CoverageSet,
+        MemberOutcome, RepairResult, SolveStats, Solver, SolverBudget,
     };
 }

@@ -10,7 +10,6 @@
 //! experiment `f2_synthesis_scale`).
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use iobt_types::NodeId;
 use rand::rngs::StdRng;
@@ -19,8 +18,8 @@ use rand::{Rng, SeedableRng};
 use crate::problem::CompositionProblem;
 use crate::solvers::{greedy_extend, CompositionResult, SolveStats, Solver};
 
-/// Outcome of a repair pass. Selection-determined only — wall-clock
-/// timing lives in the separate channel of [`repair_with_timed`].
+/// Outcome of a repair pass. Selection-determined only: it carries no
+/// wall-clock timing, so callers that want one time the call themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairResult {
     /// The repaired selection (survivors + replacements), sorted.
@@ -105,20 +104,6 @@ pub fn repair_with(
         added,
         coverage,
     }
-}
-
-/// [`repair_with`] plus a wall-clock timing channel in milliseconds —
-/// the reporting companion benches and the runtime's `WallClockReport`
-/// use. The timing can never influence the repair itself.
-pub fn repair_with_timed(
-    problem: &CompositionProblem,
-    previous: &CompositionResult,
-    failed: &BTreeSet<NodeId>,
-    solver: Solver,
-) -> (RepairResult, f64) {
-    let start = Instant::now(); // lint: allow(wall-clock) — reporting only: the timing channel never influences the repair
-    let result = repair_with(problem, previous, failed, solver);
-    (result, start.elapsed().as_secs_f64() * 1_000.0)
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use iobt_obs::{Recorder, TraceEvent};
 use rand::rngs::StdRng;
@@ -26,7 +25,7 @@ use crate::problem::CompositionProblem;
 
 /// A solver's output. Contains only selection-determined fields, so two
 /// solves of the same `(problem, solver)` compare equal; wall-clock
-/// timing lives outside the result (see [`Solver::solve_timed`]).
+/// timing is the caller's to take.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompositionResult {
     /// Selected candidate indices, sorted ascending.
@@ -89,10 +88,8 @@ pub struct MemberOutcome {
 /// A wall-clock budget makes the *result* depend on machine load: the
 /// same seed could afford 10k annealing moves on one run and 9k on the
 /// next, and select different nodes. Step budgets keep every solve
-/// bit-reproducible for a fixed `(problem, budget, seed)`. Wall-clock
-/// appears only in the timing channel of [`Solver::solve_timed`], which
-/// is pure reporting and never feeds back into a selection (`iobt-lint`
-/// rule R2 enforces this).
+/// bit-reproducible for a fixed `(problem, budget, seed)`. No wall clock
+/// is read anywhere in a solve (`iobt-lint` rule R2 enforces this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverBudget {
     steps: u64,
@@ -220,15 +217,6 @@ impl Solver {
             satisfied: result.satisfied,
         });
         result
-    }
-
-    /// Runs the solver and reports the wall-clock time it took, in
-    /// milliseconds. The timing is a reporting channel only — it is not
-    /// part of [`CompositionResult`] and can never influence a selection.
-    pub fn solve_timed(&self, problem: &CompositionProblem) -> (CompositionResult, f64) {
-        let start = Instant::now(); // lint: allow(wall-clock) — reporting only: the timing channel never influences a selection
-        let result = self.solve(problem);
-        (result, start.elapsed().as_secs_f64() * 1_000.0)
     }
 
     fn solve_inner(

@@ -95,12 +95,7 @@ fn main() {
             // word CI can diff across runs.
             let mut enc = iobt::core::ckpt::Enc::new();
             iobt::core::encode_end_state_digest(&mut enc, &report.digest);
-            let digest_fp = enc
-                .into_bytes()
-                .iter()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-                });
+            let digest_fp = iobt::obs::fnv1a(iobt::obs::FNV_OFFSET, &enc.into_bytes());
             println!("fingerprint seed={chaos_seed} mission={mission_fp} digest={digest_fp} {b}");
             return;
         }

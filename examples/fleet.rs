@@ -50,10 +50,6 @@ fn main() {
         "evictions  : {} (resumed {} times from disk)",
         summary.evictions, summary.resumes
     );
-    println!(
-        "slice p50  : {:.2} ms   p99: {:.2} ms   wall: {:.2} s",
-        summary.p50_slice_ms, summary.p99_slice_ms, summary.wall_s
-    );
 
     println!("\n--- per-mission results ---");
     for &t in &tickets {

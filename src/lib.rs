@@ -48,8 +48,7 @@ pub use iobt_types as types;
 pub use iobt_core::ckpt;
 pub use iobt_core::{
     run_mission, EndStateDigest, MissionPlan, MissionReport, MissionRunner, PortableRunConfig,
-    ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError, StepOutcome, WallClockReport,
-    WindowStat,
+    ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError, StepOutcome, WindowStat,
 };
 pub use iobt_bridge as bridge;
 pub use iobt_bridge::{
@@ -77,8 +76,8 @@ pub mod prelude {
         DegradationLadder, DiagnosisReport, Disruption, EndStateDigest, FailureDetector,
         LadderStep, MissionAllocation, MissionPlan, MissionReport, MissionRunner, NetworkModel,
         PortableRunConfig, ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError,
-        Scenario, StepOutcome, TaskingPlan, TaskingStats, WallClockReport, WindowStat,
-        COMMAND_POST_ID, MAX_LADDER_LEVEL,
+        Scenario, StepOutcome, TaskingPlan, TaskingStats, WindowStat, COMMAND_POST_ID,
+        MAX_LADDER_LEVEL,
     };
     // Multi-tenant mission scheduling (iobt-fleet).
     pub use iobt_fleet::{
@@ -117,9 +116,9 @@ pub mod prelude {
     };
     // Assured synthesis (iobt-synthesis).
     pub use iobt_synthesis::{
-        assess, failure_probability, repair, repair_with, repair_with_timed, AssuranceReport,
-        Candidate, CompositionProblem, CompositionResult, MemberOutcome, RepairResult, SolveStats,
-        Solver, SolverBudget,
+        assess, failure_probability, repair, repair_with, AssuranceReport, Candidate,
+        CompositionProblem, CompositionResult, MemberOutcome, RepairResult, SolveStats, Solver,
+        SolverBudget,
     };
     // Adaptive reflexes (iobt-adapt).
     pub use iobt_adapt::{
