@@ -13,7 +13,7 @@ use iobt_discovery::{
     recruit, AffiliationClassifier, DiscoveryTracker, EmissionModel, NaiveBayes, RecruitPolicy,
     TrackerConfig,
 };
-use iobt_netsim::{SimDuration, Simulator};
+use iobt_netsim::{RouteScratch, SimDuration, Simulator};
 use iobt_obs::{Recorder, TraceEvent};
 use iobt_synthesis::{assess, failure_probability, repair_with, AssuranceReport, CompositionProblem, CompositionResult, Solver};
 use iobt_types::{Mission, NodeId, NodeSpec, TrustLedger};
@@ -779,15 +779,22 @@ impl MissionPlan {
         let mut unreachable = 0usize;
         if config.require_reachability {
             // Build the initial connectivity graph once and keep only assets
-            // with a route to the command post.
+            // with a route to the command post. Every link is stored in both
+            // directions with one quality, so "the asset reaches the command
+            // post" is "the command post reaches the asset": one route tree
+            // from the command post answers every asset.
             let mut probe_sim = Simulator::builder(scenario.catalog.clone())
                 .terrain(scenario.terrain.clone())
                 .seed(scenario.seed)
                 .reference_mode(config.reference_mode)
                 .build();
             let graph = probe_sim.connectivity();
+            let tree = graph.route_tree(&mut RouteScratch::new(), scenario.command_post);
             let before = specs.len();
-            specs.retain(|spec| graph.route(spec.id(), scenario.command_post).is_some());
+            specs.retain(|spec| {
+                tree.as_ref()
+                    .is_some_and(|t| graph.route_from_tree(t, spec.id()).is_some())
+            });
             unreachable = before - specs.len();
         }
         let problem = CompositionProblem::from_mission(&scenario.mission, &specs, config.grid);
@@ -1569,6 +1576,40 @@ mod tests {
         let other = MissionPlan::compose(&reseeded, &cfg, &Recorder::disabled());
         assert_ne!(live, other);
         assert_ne!(live.composition, other.composition, "not just the seed field");
+    }
+
+    #[test]
+    fn reachability_probe_matches_per_asset_routes() {
+        // The probe runs one route tree from the command post; it must keep
+        // exactly the assets a per-asset route to the command post keeps.
+        let cfg = quick_config();
+        let unfiltered = RunConfig {
+            require_reachability: false,
+            ..quick_config()
+        };
+        for build in [persistent_surveillance, urban_evacuation] {
+            for n in [32, 200] {
+                for seed in [3, 17, 42, 1009] {
+                    let scenario = build(n, seed);
+                    let plan = MissionPlan::compose(&scenario, &cfg, &Recorder::disabled());
+                    let all = MissionPlan::compose(&scenario, &unfiltered, &Recorder::disabled());
+                    let graph = Simulator::builder(scenario.catalog.clone())
+                        .terrain(scenario.terrain.clone())
+                        .seed(scenario.seed)
+                        .build()
+                        .connectivity();
+                    let reachable: Vec<NodeId> = all
+                        .admitted
+                        .iter()
+                        .copied()
+                        .filter(|&id| graph.route(id, scenario.command_post).is_some())
+                        .collect();
+                    assert_eq!(plan.admitted, reachable, "n={n} seed={seed}");
+                    assert_eq!(plan.unreachable, all.admitted.len() - reachable.len());
+                    assert!(plan.unreachable > 0, "n={n} seed={seed}: none filtered");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! other (shared radio technology, acceptable mean delivery probability)
 //! into a [`ConnectivityGraph`], then routes messages along the most
 //! reliable path (Dijkstra on `-ln p` weights, so path weight is the
-//! negative log of end-to-end delivery probability).
+//! negative log of end-to-end delivery probability). Each link's weight
+//! is computed once, when the link is made, and stored beside its
+//! quality, so routing reads it instead of taking a logarithm per edge
+//! relaxation.
 //!
 //! The graph is built for battlefield scale:
 //!
@@ -44,6 +47,42 @@ pub struct LinkQuality {
     pub distance_m: f64,
 }
 
+/// One stored direction of a link: the neighbour, the link's quality,
+/// and its Dijkstra weight `cost = -ln p`, computed once where the link
+/// is made. Both directions of a link carry the same quality and cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Edge {
+    to: u32,
+    radio: RadioKind,
+    delivery_prob: f64,
+    distance_m: f64,
+    cost: f64,
+}
+
+// The simulator can hold two copies of the adjacency across
+// `Rc::make_mut`, so an edge stays no larger than a `(u32, LinkQuality)`.
+const _: () = assert!(std::mem::size_of::<Edge>() <= 32);
+
+impl Edge {
+    fn new(to: u32, q: LinkQuality) -> Self {
+        Edge {
+            to,
+            radio: q.radio,
+            delivery_prob: q.delivery_prob,
+            distance_m: q.distance_m,
+            cost: -(q.delivery_prob.max(1e-12)).ln(),
+        }
+    }
+
+    fn quality(&self) -> LinkQuality {
+        LinkQuality {
+            delivery_prob: self.delivery_prob,
+            radio: self.radio,
+            distance_m: self.distance_m,
+        }
+    }
+}
+
 /// A node as seen by the graph builder.
 #[derive(Debug, Clone)]
 pub struct GraphNode {
@@ -67,7 +106,7 @@ pub struct ConnectivityGraph {
     /// Retained builder inputs, so single-node refreshes can recompute
     /// links without the caller re-supplying the world.
     nodes: Vec<GraphNode>,
-    adj: Vec<Vec<(u32, LinkQuality)>>,
+    adj: Vec<Vec<Edge>>,
     /// Spatial hash over *all* radio-equipped nodes (dead ones included,
     /// so a revived node can rediscover its neighborhood). Valid while
     /// positions are unchanged; any movement requires a full rebuild.
@@ -152,7 +191,7 @@ impl ConnectivityGraph {
         debug_assert_eq!(ids.len(), nodes.len());
         debug_assert!(nodes.iter().enumerate().all(|(i, n)| n.id == ids[i]));
         let n = nodes.len();
-        let mut adj: Vec<Vec<(u32, LinkQuality)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<Edge>> = vec![Vec::new(); n];
 
         let cell = cell_size_m(&nodes);
         let mut buckets: BTreeMap<(i64, i64), Vec<u32>> = BTreeMap::new();
@@ -188,8 +227,13 @@ impl ConnectivityGraph {
                             if let Some(link) =
                                 best_link(&nodes[i as usize], &nodes[j as usize], channel)
                             {
-                                adj[i as usize].push((j, link));
-                                adj[j as usize].push((i, link));
+                                // Both directions carry one quality and
+                                // cost, so reachability is symmetric (the
+                                // command-post probe in `iobt-core` relies
+                                // on this).
+                                let edge = Edge::new(j, link);
+                                adj[i as usize].push(edge);
+                                adj[j as usize].push(Edge { to: i, ..edge });
                             }
                         }
                     }
@@ -197,7 +241,7 @@ impl ConnectivityGraph {
             }
         }
         for list in &mut adj {
-            list.sort_by_key(|(j, _)| *j);
+            list.sort_by_key(|e| e.to);
         }
         ConnectivityGraph {
             ids,
@@ -232,9 +276,9 @@ impl ConnectivityGraph {
         self.epoch += 1;
         // Tear out the node's current incident links from both sides.
         let old = std::mem::take(&mut self.adj[iu]);
-        for (j, _) in old {
-            let list = &mut self.adj[j as usize];
-            if let Ok(pos) = list.binary_search_by_key(&i, |(k, _)| *k) {
+        for e in old {
+            let list = &mut self.adj[e.to as usize];
+            if let Ok(pos) = list.binary_search_by_key(&i, |e| e.to) {
                 list.remove(pos);
             }
         }
@@ -259,16 +303,19 @@ impl ConnectivityGraph {
                         continue;
                     }
                     if let Some(link) = best_link(&self.nodes[a], &self.nodes[b], channel) {
-                        self.adj[iu].push((j, link));
+                        // Same quality and cost both ways, as in a full
+                        // build: reachability stays symmetric.
+                        let edge = Edge::new(j, link);
+                        self.adj[iu].push(edge);
                         let list = &mut self.adj[j as usize];
-                        if let Err(pos) = list.binary_search_by_key(&i, |(k, _)| *k) {
-                            list.insert(pos, (i, link));
+                        if let Err(pos) = list.binary_search_by_key(&i, |e| e.to) {
+                            list.insert(pos, Edge { to: i, ..edge });
                         }
                     }
                 }
             }
         }
-        self.adj[iu].sort_by_key(|(j, _)| *j);
+        self.adj[iu].sort_by_key(|e| e.to);
     }
 
     /// Whether two graphs describe the same routable topology: same id
@@ -329,7 +376,7 @@ impl ConnectivityGraph {
         match self.index.get(&id) {
             Some(&i) => self.adj[i as usize]
                 .iter()
-                .map(|&(j, q)| (self.ids[j as usize], q))
+                .map(|e| (self.ids[e.to as usize], e.quality()))
                 .collect(),
             None => Vec::new(),
         }
@@ -339,7 +386,8 @@ impl ConnectivityGraph {
     /// (inclusive of both endpoints), or `None` when unreachable.
     ///
     /// Reliability is the product of per-hop delivery probabilities;
-    /// Dijkstra runs on `-ln p` weights. Allocates fresh working state —
+    /// Dijkstra runs on `-ln p` weights, computed once per link when the
+    /// graph is built or refreshed. Allocates fresh working state —
     /// callers routing many times per snapshot should hold a
     /// [`RouteScratch`] and use [`ConnectivityGraph::route_with`].
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
@@ -383,25 +431,7 @@ impl ConnectivityGraph {
         if s == d {
             return Some(vec![s]);
         }
-        scratch.reset(self.ids.len());
-        scratch.set(s, 0.0, u32::MAX);
-        scratch.heap.push(HeapEntry { cost: 0.0, node: s });
-        while let Some(HeapEntry { cost, node }) = scratch.heap.pop() {
-            if cost > scratch.dist(node) {
-                continue; // stale entry: settled earlier via a cheaper path
-            }
-            if node == d {
-                break;
-            }
-            for &(next, q) in &self.adj[node as usize] {
-                let w = -(q.delivery_prob.max(1e-12)).ln();
-                let nd = cost + w;
-                if nd < scratch.dist(next) {
-                    scratch.set(next, nd, node);
-                    scratch.heap.push(HeapEntry { cost: nd, node: next });
-                }
-            }
-        }
+        self.settle(scratch, s, Some(d));
         if scratch.dist(d).is_infinite() {
             return None;
         }
@@ -432,24 +462,7 @@ impl ConnectivityGraph {
     /// [`ConnectivityGraph::route_tree`] on a dense source index.
     pub fn route_tree_idx(&self, scratch: &mut RouteScratch, s: u32) -> RouteTree {
         let n = self.ids.len();
-        scratch.reset(n);
-        if (s as usize) < n {
-            scratch.set(s, 0.0, s);
-            scratch.heap.push(HeapEntry { cost: 0.0, node: s });
-        }
-        while let Some(HeapEntry { cost, node }) = scratch.heap.pop() {
-            if cost > scratch.dist(node) {
-                continue;
-            }
-            for &(next, q) in &self.adj[node as usize] {
-                let w = -(q.delivery_prob.max(1e-12)).ln();
-                let nd = cost + w;
-                if nd < scratch.dist(next) {
-                    scratch.set(next, nd, node);
-                    scratch.heap.push(HeapEntry { cost: nd, node: next });
-                }
-            }
-        }
+        self.settle(scratch, s, None);
         let prev: Vec<u32> = (0..n as u32)
             .map(|i| {
                 if scratch.stamp[i as usize] == scratch.epoch {
@@ -463,6 +476,39 @@ impl ConnectivityGraph {
             src: s,
             epoch: self.epoch,
             prev,
+        }
+    }
+
+    /// Dijkstra from `s` over the stored link weights into `scratch`: the
+    /// one relaxation loop behind per-query routes and route trees. The
+    /// source is its own predecessor. Pops are ordered by `(cost, node)`;
+    /// stale heap entries (nodes already settled via a cheaper path) are
+    /// skipped, and the search stops once `stop_at` settles. An
+    /// out-of-range source settles nothing.
+    fn settle(&self, scratch: &mut RouteScratch, s: u32, stop_at: Option<u32>) {
+        scratch.reset(self.ids.len());
+        if s as usize >= self.ids.len() {
+            return;
+        }
+        scratch.set(s, 0.0, s);
+        scratch.heap.push(HeapEntry { cost: 0.0, node: s });
+        while let Some(HeapEntry { cost, node }) = scratch.heap.pop() {
+            if cost > scratch.dist(node) {
+                continue;
+            }
+            if stop_at == Some(node) {
+                break;
+            }
+            for e in &self.adj[node as usize] {
+                let nd = cost + e.cost;
+                if nd < scratch.dist(e.to) {
+                    scratch.set(e.to, nd, node);
+                    scratch.heap.push(HeapEntry {
+                        cost: nd,
+                        node: e.to,
+                    });
+                }
+            }
         }
     }
 
@@ -513,9 +559,9 @@ impl ConnectivityGraph {
     /// [`ConnectivityGraph::link`] on dense indices.
     pub fn link_idx(&self, i: u32, j: u32) -> Option<LinkQuality> {
         let list = self.adj.get(i as usize)?;
-        list.binary_search_by_key(&j, |(k, _)| *k)
+        list.binary_search_by_key(&j, |e| e.to)
             .ok()
-            .map(|pos| list[pos].1)
+            .map(|pos| list[pos].quality())
     }
 
     /// Connected components as sorted id lists, largest first.
@@ -532,10 +578,11 @@ impl ConnectivityGraph {
             seen[start] = true;
             while let Some(i) = stack.pop() {
                 comp.push(self.ids[i]);
-                for &(j, _) in &self.adj[i] {
-                    if !seen[j as usize] {
-                        seen[j as usize] = true;
-                        stack.push(j as usize);
+                for e in &self.adj[i] {
+                    let j = e.to as usize;
+                    if !seen[j] {
+                        seen[j] = true;
+                        stack.push(j);
                     }
                 }
             }
@@ -979,6 +1026,58 @@ mod tests {
         assert!(g.same_topology(&ConnectivityGraph::build_filtered(&world, &ch, &deny)));
         assert!(g.link(NodeId::new(0), NodeId::new(1)).is_none());
         assert!(g.link(NodeId::new(1), NodeId::new(2)).is_some());
+    }
+
+    /// Every stored edge carries `-ln p` of its own quality bit for bit,
+    /// and the reverse direction carries the same quality and cost.
+    fn assert_edge_costs(g: &ConnectivityGraph) {
+        for (i, list) in g.adj.iter().enumerate() {
+            for e in list {
+                assert_eq!(
+                    e.cost.to_bits(),
+                    (-(e.delivery_prob.max(1e-12)).ln()).to_bits(),
+                    "edge {i} -> {}",
+                    e.to
+                );
+                let back = &g.adj[e.to as usize];
+                let pos = back
+                    .binary_search_by_key(&(i as u32), |r| r.to)
+                    .expect("reverse edge");
+                assert_eq!(back[pos].quality(), e.quality(), "edge {i} <-> {}", e.to);
+                assert_eq!(back[pos].cost.to_bits(), e.cost.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn stored_costs_are_neg_ln_p_in_both_directions() {
+        let ch = open_channel();
+        let mut world: Vec<GraphNode> = (0..36)
+            .map(|i| {
+                let radios: &[RadioKind] = match i % 4 {
+                    0 => &[RadioKind::Wifi, RadioKind::TacticalUhf],
+                    3 => &[],
+                    _ => &[RadioKind::Wifi],
+                };
+                node(i, (i % 6) as f64 * 75.0, (i / 6) as f64 * 75.0, radios)
+            })
+            .collect();
+        let deny = |a: NodeId, b: NodeId| (a.raw() + b.raw()).is_multiple_of(5);
+        let mut g = ConnectivityGraph::build_filtered(&world, &ch, &deny);
+        assert!(g.link_count() > 0);
+        assert_edge_costs(&g);
+        for (i, alive) in [
+            (7u32, false),
+            (8, false),
+            (7, true),
+            (0, false),
+            (8, true),
+            (0, true),
+        ] {
+            world[i as usize].alive = alive;
+            g.refresh_node(i, alive, &ch, &deny);
+            assert_edge_costs(&g);
+        }
     }
 
     #[test]

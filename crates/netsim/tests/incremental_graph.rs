@@ -10,10 +10,15 @@
 //! churn sequences (arbitrary node sets, radio loadouts, jammers, and
 //! partition-style deny predicates) and checks that equivalence after
 //! every single step, not just at the end.
+//!
+//! It also pins the symmetry the command-post reachability probe relies
+//! on: every link is stored in both directions with one quality, so one
+//! route tree from a root answers "does `x` reach the root" for every
+//! `x` at once.
 
 use std::rc::Rc;
 
-use iobt_netsim::{Channel, ConnectivityGraph, GraphNode, Jammer, Terrain};
+use iobt_netsim::{Channel, ConnectivityGraph, GraphNode, Jammer, RouteScratch, Terrain};
 use iobt_types::{NodeId, Point, RadioKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,6 +64,11 @@ fn channel(with_jammer: bool) -> Channel {
         ch.add_jammer(Jammer::new(Point::new(150.0, 150.0), 2.0));
     }
     ch
+}
+
+/// Partition-style deny predicate: no links across id `cut`, if any.
+fn partition(cut: Option<u64>) -> impl Fn(NodeId, NodeId) -> bool {
+    move |a, b| cut.is_some_and(|t| (a.raw() < t) != (b.raw() < t))
 }
 
 proptest! {
@@ -119,6 +129,50 @@ proptest! {
                 "deny-predicate churn diverged after setting node {} alive={}",
                 i, up
             );
+        }
+    }
+
+    /// Reachability is symmetric after every churn, jammer or deny step:
+    /// a route tree from a random root reaches `x` exactly when a
+    /// per-query route from `x` to the root exists, for every node
+    /// (dead and radio-less ones included).
+    #[test]
+    fn route_tree_reach_matches_routes_to_the_root(
+        seed in 0u64..10_000,
+        n in 8usize..40,
+        ops in proptest::collection::vec((0u8..3, 0usize..1 << 16, proptest::bool::ANY), 1..16),
+        root in 0usize..1 << 16,
+    ) {
+        let mut nodes = population(seed ^ 0x7ee5, n);
+        let mut jammed = false;
+        let mut cut: Option<u64> = None;
+        let mut graph = ConnectivityGraph::build_filtered(&nodes, &channel(false), &partition(None));
+        let mut scratch = RouteScratch::new();
+        for (step, (kind, who, up)) in ops.into_iter().enumerate() {
+            match kind {
+                // Churn: patch one node's liveness in place.
+                0 => {
+                    let i = who % n;
+                    nodes[i].alive = up;
+                    graph.refresh_node(i as u32, up, &channel(jammed), &partition(cut));
+                }
+                1 => jammed = up,
+                _ => cut = up.then_some((who % n) as u64),
+            }
+            if kind != 0 {
+                // The channel or the deny predicate changed: rebuild.
+                graph = ConnectivityGraph::build_filtered(&nodes, &channel(jammed), &partition(cut));
+            }
+            let r = NodeId::new(((root + step) % n) as u64);
+            let tree = graph.route_tree(&mut scratch, r).expect("root is in the graph");
+            for x in 0..n as u64 {
+                let x = NodeId::new(x);
+                prop_assert_eq!(
+                    graph.route_from_tree(&tree, x).is_some(),
+                    graph.route(x, r).is_some(),
+                    "step {}: tree from {:?} vs route {:?} -> root", step, r, x
+                );
+            }
         }
     }
 
